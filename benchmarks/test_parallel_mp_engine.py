@@ -6,9 +6,9 @@ measurements on the n=1600 workload of ``test_parallel_engine``:
 1. **Replay** — the trimmed Cholesky DAG re-executed with
    flop-proportional sleeping kernels through the *mp* engine.  Sleeps
    overlap perfectly regardless of core count, so this isolates the
-   coordinator's dispatch/retirement overhead: the queue round-trips
-   and arena-less bookkeeping the process pool adds over the threaded
-   engine's condition variable.
+   coordinator's dispatch/retirement overhead: the pipe round-trips
+   and arena-less bookkeeping the process-pool executor adds over the
+   threaded executor's futures.
 2. **Real numerics (threads)** — the actual TLR Cholesky through the
    threaded engine, the GIL-bound baseline the mp engine exists to
    beat.

@@ -1,10 +1,17 @@
 """PaRSEC-like task runtime substrate.
 
 Tasks are instances of parameterized task classes (the PTG model of
-Section IV-A); dependencies are inferred from declared data accesses;
-an execution engine runs the graph under a pluggable scheduler while a
-tracer records per-task timing/flops.  Distributed execution is
-modeled by the discrete-event simulator in :mod:`repro.machine`.
+Section IV-A); dependencies are inferred from declared data accesses.
+One scheduling core, :meth:`ExecutionEngine.run`, runs the graph under
+a pluggable scheduler — checkpoint frontier, integrity checks, retry
+and rollback, fail-fast, stall detection and tracing included — and
+three executors decide where each task runs: inline
+(:class:`ExecutionEngine`), on lane threads
+(:class:`ParallelExecutionEngine`) or on forked worker processes over
+a shared-memory tile arena
+(:class:`~repro.runtime.parallel_mp.MultiprocessExecutionEngine`).
+Distributed execution is modeled by the discrete-event simulator in
+:mod:`repro.machine`.
 """
 
 from repro.runtime.task import AccessMode, DataAccess, Task

@@ -317,15 +317,20 @@ class FaultInjector:
         #: converge.  Epoch 0 leaves every decision bitwise-unchanged.
         self.epoch = 0
         self.counters: Counter[str] = Counter()
-        #: tile keys the most recent ``invoke`` bitflipped — consumers
-        #: (the mp engine's post-kernel operand re-check) use it to
-        #: tell the task's *own* post-kernel at-rest flips (outputs
-        #: valid, later readers' problem) from a concurrent task's
-        #: flip that may have raced the kernel's reads.  Meaningful
-        #: only where one invoke runs at a time per injector copy
-        #: (forked workers); the threaded engine never reads it.
-        self.flipped_reads: list[tuple[int, int]] = []
+        #: per-thread, so each lane thread sees its own invokes
+        self._local = threading.local()
         self._lock = threading.Lock()
+
+    @property
+    def flipped_reads(self) -> list[tuple[int, int]]:
+        """Tile keys this thread's most recent ``invoke`` bitflipped.
+
+        The engines' post-kernel operand re-checks use it to tell the
+        task's *own* post-kernel at-rest flips (outputs valid, later
+        readers' problem) from a concurrent task's flip that may have
+        raced the kernel's reads.
+        """
+        return getattr(self._local, "flipped", [])
 
     def _count(self, kind: str, klass: str) -> None:
         with self._lock:
@@ -350,7 +355,7 @@ class FaultInjector:
             faults = tuple(
                 r for r in faults if r.kind not in PROCESS_FAULT_KINDS
             ) + tuple(r for r in shifted if r.kind in PROCESS_FAULT_KINDS)
-        self.flipped_reads = []
+        flipped_reads = self._local.flipped = []
         for rule in faults:
             if rule.kind == "delay":
                 self._count("delay", task.klass)
@@ -396,7 +401,7 @@ class FaultInjector:
             if rule.kind == "bitflip":
                 flipped = self._bitflip_one_read(task, data, attempt)
                 if flipped is not None:
-                    self.flipped_reads.append(flipped)
+                    flipped_reads.append(flipped)
                     self._count("bitflip", task.klass)
 
     @staticmethod

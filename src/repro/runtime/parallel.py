@@ -2,46 +2,42 @@
 
 The paper's runtime (PaRSEC) extracts the concurrency of the tile
 Cholesky DAG across worker threads; this module is the in-process
-analogue.  ``ParallelExecutionEngine`` runs a
-:class:`~repro.runtime.dag.TaskGraph` with N worker threads sharing a
-condition-variable-protected ready pool:
-
-* readiness is driven by indegree decrements under the pool lock, so a
-  task enters the ready pool the moment its last predecessor retires;
-* the pluggable :class:`~repro.runtime.scheduler.Scheduler` policies
-  (FIFO / LIFO / priority) order the ready pool exactly as they order
-  the serial engine's traversal — dispatch pops under the lock;
-* the first kernel exception *fails fast*: queued tasks are abandoned,
-  idle workers wake and exit, and the exception is re-raised in the
-  calling thread once in-flight kernels retire;
-* starvation is detected, not hung on: if every worker is idle, the
-  ready pool is empty, and unfinished tasks remain, the run aborts
-  with a diagnostic ``ValueError`` naming the stuck tasks.
+analogue.  ``ParallelExecutionEngine`` plugs a pool of N lane threads
+into the scheduling core of
+:class:`~repro.runtime.engine.ExecutionEngine`: the core (running in
+the calling thread) pops the ready pool, hands each idle lane one task
+as a future, and retires the futures as they complete.  Fail-fast,
+starvation diagnosis, the stall timeout, checkpoint capture and the
+integrity checks are all the core's, exactly as for the serial
+engine.
 
 Correctness leans on :func:`~repro.runtime.dag.build_graph`'s
 RAW/WAR/WAW edges: two concurrently running tasks never touch the same
 tile, so kernels need no per-tile locks.  ``debug=True`` *asserts*
-that invariant at runtime with a per-tile ownership table instead of
-trusting it silently.
+that invariant at runtime, checking every dispatched task against the
+running ones, instead of trusting it silently.
 
 The NumPy/SciPy tile kernels release the GIL inside BLAS/LAPACK, so
-worker threads genuinely overlap on multicore hardware with no
-pickling or shared-memory machinery.
+lane threads genuinely overlap on multicore hardware with no pickling
+or shared-memory machinery.  This is the default multi-worker backend,
+and the only one where ``fork`` is unavailable.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
+from concurrent import futures
+from concurrent.futures import Future, ThreadPoolExecutor
 
-from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.dag import TaskGraph
-from repro.runtime.engine import ExecutionEngine
+from repro.runtime.engine import (
+    ExecutionEngine,
+    InlineExecutor,
+    Outcome,
+    RunContext,
+    scaled_stall_timeout,
+)
 from repro.runtime.faults import FaultInjector, RetryPolicy
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.task import Task
-from repro.runtime.tracing import Trace, TraceEvent
 
 __all__ = [
     "ParallelExecutionEngine",
@@ -117,41 +113,6 @@ def stall_timeout_from_env() -> float | None:
     return timeout if timeout > 0.0 else None
 
 
-#: Safety multiplier applied to the cost model's longest-kernel
-#: estimate when scaling the stall timeout.  Generous on purpose: the
-#: model is a compute-bound floor calibrated for Shaheen-II cores, and
-#: CI machines are slower and noisier.
-_STALL_SAFETY = 25.0
-
-
-def scaled_stall_timeout(base: float | None, graph) -> float | None:
-    """Scale a stall timeout by the predicted longest kernel in ``graph``.
-
-    A fixed ``$REPRO_STALL_TIMEOUT`` tuned on small tiles false-fires
-    on large-tile POTRF/GEMM tasks that are still making progress —
-    the watchdog only sees "no retirement in T seconds", and a single
-    8192-tile POTRF legitimately takes that long.  The fix: never let
-    the effective timeout drop below ``_STALL_SAFETY`` times the cost
-    model's estimate for the most expensive single task in the graph.
-
-    ``base is None`` (watchdog disabled) stays ``None``; the scaled
-    value is never *smaller* than ``base``, so tightening is
-    impossible — only false-positive relief.
-    """
-    if base is None:
-        return None
-    base = float(base)
-    tasks = getattr(graph, "tasks", None)
-    if not tasks:
-        return base
-    from repro.machine.costmodel import CostModel
-    from repro.machine.models import SHAHEEN_II
-
-    model = CostModel(SHAHEEN_II)
-    longest = max(model.kernel_seconds(t.flops) for t in tasks)
-    return max(base, _STALL_SAFETY * longest)
-
-
 def resolve_engine(engine: str | None = None) -> str:
     """Resolve a backend name: explicit value > $REPRO_ENGINE > threads.
 
@@ -191,109 +152,78 @@ def engine_for(
     """
     n = resolve_workers(workers)
     backend = resolve_engine(engine)
+    common = dict(fault_injector=fault_injector, retry=retry, verify_tiles=verify_tiles)
     if n <= 1 or backend == "serial":
-        return ExecutionEngine(
-            scheduler,
-            fault_injector=fault_injector,
-            retry=retry,
-            verify_tiles=verify_tiles,
-        )
+        return ExecutionEngine(scheduler, **common)
     if backend == "mp":
         # Imported lazily: parallel_mp pulls in multiprocessing and
         # the arena, neither of which the threaded path needs.
-        from repro.runtime.parallel_mp import MultiprocessExecutionEngine
+        from repro.runtime.parallel_mp import MultiprocessExecutionEngine as cls
+    else:
+        cls = ParallelExecutionEngine
+    eng = cls(scheduler, workers=n, stall_timeout=stall_timeout_from_env(), **common)
+    # The ownership assertion lives in the scheduling core, so it covers
+    # forked lanes exactly as it covers threads.
+    eng.debug = debug_from_env()
+    return eng
 
-        return MultiprocessExecutionEngine(
-            scheduler,
-            workers=n,
-            fault_injector=fault_injector,
-            retry=retry,
-            stall_timeout=stall_timeout_from_env(),
-            verify_tiles=verify_tiles,
+
+class _ThreadExecutor(InlineExecutor):
+    """A pool of lane threads; each dispatched task is one future."""
+
+    def __init__(self, engine: ExecutionEngine, run: RunContext, lanes: int):
+        super().__init__(engine, run, lanes)
+        self._pool = ThreadPoolExecutor(lanes, thread_name_prefix="tlr-worker")
+        self._running: set[Future] = set()
+
+    def submit(self, lane: int, index: int) -> None:
+        self._running.add(self._pool.submit(self.execute, lane, index))
+
+    def wait(self, timeout: float | None) -> list[Outcome]:
+        done, self._running = futures.wait(
+            self._running, timeout, return_when=futures.FIRST_COMPLETED
         )
-    return ParallelExecutionEngine(
-        scheduler,
-        workers=n,
-        debug=debug_from_env(),
-        fault_injector=fault_injector,
-        retry=retry,
-        stall_timeout=stall_timeout_from_env(),
-        verify_tiles=verify_tiles,
-    )
+        return [f.result() for f in done]
 
-
-class _RunState:
-    """Shared mutable state of one ``run`` call (lives under the lock)."""
-
-    __slots__ = (
-        "indegree",
-        "completed",
-        "target",
-        "skipped",
-        "running",
-        "failure",
-        "started",
-        "owners",
-        "lanes",
-        "last_progress",
-        "retries",
-    )
-
-    def __init__(self, graph: TaskGraph) -> None:
-        self.indegree = [graph.in_degree(i) for i in range(len(graph))]
-        self.completed = 0
-        #: tasks that must retire this run (graph size minus the
-        #: checkpoint frontier)
-        self.target = len(graph)
-        #: task uids pre-retired by a resumed checkpoint frontier
-        self.skipped: frozenset = frozenset()
-        #: tasks popped from the ready pool and not yet retired
-        self.running = 0
-        self.failure: BaseException | None = None
-        #: task indices ever dispatched (diagnoses stuck tasks)
-        self.started: set[int] = set()
-        #: debug-mode tile ownership: key -> [writer_index | None, n_readers]
-        self.owners: dict[tuple[int, int], list] = {}
-        #: per-worker lane state: lane -> str(task) in flight (None = idle)
-        self.lanes: dict[int, str | None] = {}
-        #: monotonic timestamp of the last dispatch/retire (watchdog input)
-        self.last_progress = time.monotonic()
-        #: retried attempts accumulated across all workers
-        self.retries = 0
+    def close(self) -> None:
+        """Stop the pool; in-flight kernels cannot be interrupted, so
+        this returns once they do."""
+        self._pool.shutdown(wait=True)
 
 
 class ParallelExecutionEngine(ExecutionEngine):
-    """Executes a task graph with ``workers`` threads.
+    """Executes a task graph with ``workers`` lane threads.
 
-    Kernel registration and scheduler policy are inherited from
-    :class:`ExecutionEngine`; only the traversal is replaced.  A run
-    produces the same per-tile arithmetic as the serial engine — every
-    write sequence to a tile is ordered by the graph's edges — so
-    factors are bitwise-reproducible across worker counts.
+    Kernel registration, scheduler policy and the whole scheduling
+    loop are inherited from :class:`ExecutionEngine`; only the
+    executor is replaced.  A run produces the same per-tile arithmetic
+    as the serial engine — every write sequence to a tile is ordered
+    by the graph's edges — so factors are bitwise-reproducible across
+    worker counts.
 
     Parameters
     ----------
     scheduler:
         Ready-pool ordering policy (default: priority).
     workers:
-        Worker thread count (>= 1).
+        Lane thread count (>= 1).
     debug:
         Verify the no-concurrent-tile-access invariant on every
-        dispatch/retire (cheap: two dict passes per task under the
-        already-held lock).  A violation aborts the run with
+        dispatch (cheap: the new task's tiles against those of at most
+        ``workers - 1`` running tasks).  A violation aborts the run with
         ``ValueError`` — it means the graph builder under-constrained
         the DAG, and the factorization cannot be trusted.
     fault_injector / retry:
         Fault injection and transient-failure retry/rollback (see
         :class:`ExecutionEngine`).  Retry backoff sleeps happen in the
-        worker thread, outside the pool lock.
+        lane thread.
     stall_timeout:
-        Watchdog timeout in seconds (default: ``$REPRO_STALL_TIMEOUT``
+        Stall timeout in seconds (default: ``$REPRO_STALL_TIMEOUT``
         via :func:`engine_for`, else disabled).  If no task is
         dispatched or retired for this long while tasks remain, the
         run is aborted with a diagnostic ``ValueError`` reporting
-        per-worker lane state — catching hung kernels that the logical
-        starvation check (which needs every worker idle) cannot see.
+        per-lane state — catching hung kernels that the logical
+        starvation check (which needs every lane idle) cannot see.
         In-flight kernels cannot be interrupted; the error surfaces
         once they return.  Choose a timeout well above the slowest
         expected kernel (and above any retry backoff).
@@ -315,284 +245,8 @@ class ParallelExecutionEngine(ExecutionEngine):
             retry=retry,
             verify_tiles=verify_tiles,
         )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if stall_timeout is not None and stall_timeout <= 0.0:
-            raise ValueError(
-                f"stall_timeout must be positive or None, got {stall_timeout}"
-            )
-        self.workers = int(workers)
+        self._set_lanes(workers, stall_timeout)
         self.debug = bool(debug)
-        self.stall_timeout = stall_timeout
 
-    # ------------------------------------------------------------------
-    # debug-mode tile ownership
-    # ------------------------------------------------------------------
-
-    def _claim(self, state: _RunState, task: Task) -> None:
-        """Register ``task``'s tile accesses; raise on any overlap."""
-        for acc in task.accesses:
-            slot = state.owners.setdefault(acc.key, [None, 0])
-            writer, readers = slot
-            if acc.mode.writes:
-                if writer is not None or readers:
-                    raise ValueError(
-                        f"tile ownership violation: {task} writes tile "
-                        f"{acc.key} while it is held by "
-                        f"{'a writer' if writer is not None else f'{readers} reader(s)'}"
-                        " — the task graph under-constrains the DAG"
-                    )
-                slot[0] = task
-            else:
-                if writer is not None:
-                    raise ValueError(
-                        f"tile ownership violation: {task} reads tile "
-                        f"{acc.key} while {writer} is writing it — the "
-                        "task graph under-constrains the DAG"
-                    )
-                slot[1] += 1
-
-    def _release(self, state: _RunState, task: Task) -> None:
-        for acc in task.accesses:
-            slot = state.owners[acc.key]
-            if acc.mode.writes:
-                slot[0] = None
-            else:
-                slot[1] -= 1
-
-    # ------------------------------------------------------------------
-    # stall diagnostics
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _lane_report(state: _RunState) -> str:
-        """Per-worker lane state for stall diagnostics."""
-        if not state.lanes:
-            return "no lanes dispatched yet"
-        return "; ".join(
-            f"lane {lane}: {'running ' + task if task else 'idle'}"
-            for lane, task in sorted(state.lanes.items())
-        )
-
-    def _starvation_failure(
-        self, state: _RunState, graph: TaskGraph, n: int
-    ) -> ValueError:
-        stuck = [
-            str(graph.tasks[j])
-            for j in range(n)
-            if j not in state.started and graph.tasks[j].uid not in state.skipped
-        ]
-        shown = ", ".join(stuck[:8])
-        if len(stuck) > 8:
-            shown += f", ... ({len(stuck) - 8} more)"
-        return ValueError(
-            f"execution stalled with {len(stuck)} of {state.target} "
-            f"tasks blocked (cycle or unsatisfiable "
-            f"dependencies): {shown} [{self._lane_report(state)}]"
-        )
-
-    # ------------------------------------------------------------------
-    # run
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        graph: TaskGraph,
-        data: object,
-        trace: Trace | None = None,
-        checkpoint: CheckpointManager | None = None,
-    ) -> Trace:
-        """Execute every task; returns the (thread-safely filled) trace.
-
-        Raises the first kernel exception (fail-fast), ``KeyError`` for
-        an unregistered task class, and ``ValueError`` when the graph
-        stalls (cycle / unsatisfiable dependencies) or — in debug mode
-        — when two concurrent tasks touch one tile.  With
-        ``checkpoint``, the manager's completed frontier is skipped and
-        due checkpoints are flushed by whichever worker notices,
-        outside the pool lock.
-        """
-        if trace is None:
-            trace = Trace()
-        self.last_run_retries = 0
-        self.last_run_resumed = 0
-        n = len(graph)
-        if n == 0:
-            return trace
-        # Fail before spawning threads, like the serial engine does on
-        # its first pop.
-        missing = {t.klass for t in graph.tasks} - set(self._kernels)
-        if missing:
-            raise KeyError(
-                f"no kernel registered for task class(es) {sorted(missing)}"
-            )
-
-        state = _RunState(graph)
-        state.skipped = self._frontier(graph, data, state.indegree, checkpoint)
-        state.target = n - len(state.skipped)
-        ledger, verify = self._setup_integrity(data, checkpoint)
-        if state.target == 0:
-            if verify and ledger is not None:
-                self._final_verify(data, ledger, checkpoint)
-            return trace
-        cond = threading.Condition()
-        scheduler = self.scheduler
-        for i in range(n):
-            if state.indegree[i] == 0 and graph.tasks[i].uid not in state.skipped:
-                scheduler.push(i, graph.tasks[i])
-
-        t0 = time.perf_counter()
-
-        def worker(lane: int) -> None:
-            while True:
-                with cond:
-                    while True:
-                        if (
-                            state.failure is not None
-                            or state.completed == state.target
-                        ):
-                            return
-                        if scheduler:
-                            i = scheduler.pop()
-                            state.running += 1
-                            state.started.add(i)
-                            break
-                        if state.running == 0:
-                            # Nothing ready, nothing in flight, tasks
-                            # remain: the graph can never finish.
-                            state.failure = self._starvation_failure(
-                                state, graph, n
-                            )
-                            cond.notify_all()
-                            return
-                        cond.wait()
-                    task = graph.tasks[i]
-                    state.lanes[lane] = str(task)
-                    state.last_progress = time.monotonic()
-                    if self.debug:
-                        try:
-                            self._claim(state, task)
-                        except ValueError as exc:
-                            state.failure = exc
-                            state.running -= 1
-                            state.lanes[lane] = None
-                            cond.notify_all()
-                            return
-                kernel = self._kernels[task.klass]
-                start = time.perf_counter() - t0
-                try:
-                    attempts = self._dispatch(
-                        task,
-                        kernel,
-                        data,
-                        ledger=ledger,
-                        verify=verify,
-                        checkpoint=checkpoint,
-                    )
-                except BaseException as exc:
-                    with cond:
-                        state.running -= 1
-                        state.lanes[lane] = None
-                        if state.failure is None:
-                            state.failure = exc
-                        cond.notify_all()
-                    return
-                end = time.perf_counter() - t0
-                trace.record(
-                    TraceEvent(
-                        task.klass,
-                        task.params,
-                        start,
-                        end,
-                        flops=task.flops,
-                        worker=lane,
-                    )
-                )
-                # Capture the retirement in the checkpoint manager NOW,
-                # before successors are published under the pool lock:
-                # until then no other task can replace the tiles this
-                # task wrote, so the captured references are exactly
-                # its outputs.
-                flush_due = checkpoint is not None and checkpoint.task_retired(
-                    task, data
-                )
-                with cond:
-                    if self.debug:
-                        self._release(state, task)
-                    state.running -= 1
-                    state.completed += 1
-                    state.retries += attempts
-                    state.lanes[lane] = None
-                    state.last_progress = time.monotonic()
-                    for j in graph.successors.get(i, ()):
-                        state.indegree[j] -= 1
-                        if state.indegree[j] == 0:
-                            scheduler.push(j, graph.tasks[j])
-                    cond.notify_all()
-                if flush_due:
-                    # Single-writer inside flush(); concurrent callers
-                    # return immediately and the due flag persists, so
-                    # a skipped flush happens at the next retirement.
-                    checkpoint.flush(data)
-
-        stop_watchdog = threading.Event()
-
-        def watchdog(timeout: float) -> None:
-            poll = max(min(timeout / 5.0, 0.25), 0.005)
-            while not stop_watchdog.wait(poll):
-                with cond:
-                    if (
-                        state.failure is not None
-                        or state.completed == state.target
-                    ):
-                        return
-                    idle = time.monotonic() - state.last_progress
-                    if idle >= timeout:
-                        state.failure = ValueError(
-                            f"execution stalled: no task dispatched or "
-                            f"retired in {idle:.3g}s "
-                            f"(stall_timeout={timeout:.3g}s) with "
-                            f"{state.target - state.completed} of "
-                            f"{state.target} tasks "
-                            f"outstanding [{self._lane_report(state)}]"
-                        )
-                        cond.notify_all()
-                        return
-
-        threads = [
-            threading.Thread(
-                target=worker, args=(lane,), name=f"tlr-worker-{lane}"
-            )
-            for lane in range(min(self.workers, n))
-        ]
-        monitor = None
-        if self.stall_timeout is not None:
-            monitor = threading.Thread(
-                target=watchdog,
-                args=(scaled_stall_timeout(self.stall_timeout, graph),),
-                name="tlr-stall-watchdog",
-                daemon=True,
-            )
-            monitor.start()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if monitor is not None:
-            stop_watchdog.set()
-            monitor.join()
-        self.last_run_retries = state.retries
-
-        if state.failure is not None:
-            # Drain the ready pool so a reused scheduler starts clean.
-            while scheduler:
-                scheduler.pop()
-            raise state.failure
-        if state.completed != state.target:  # pragma: no cover - defensive
-            raise ValueError(
-                f"executed {state.completed} of {state.target} tasks; "
-                "graph has unsatisfiable dependencies"
-            )
-        if verify and ledger is not None:
-            self._final_verify(data, ledger, checkpoint)
-        return trace
+    def _executor(self, run: RunContext, lanes: int) -> _ThreadExecutor:
+        return _ThreadExecutor(self, run, lanes)

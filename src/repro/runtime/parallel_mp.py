@@ -23,13 +23,15 @@ Architecture
   arena-backed tile views (fault injection, retry with arena-byte
   rollback, and operand checksum verification all happen *in the
   worker*), and send a small retirement message back.
-* **Coordinator** — keeps the exact CV-driven ready-pool discipline of
-  the threaded engine: the scheduler policy orders the ready pool, and
-  at most one task per idle worker is in flight, so priority order is
-  respected.  On retirement it materializes the task's written tiles
-  out of the arena into the caller's matrix (a private copy, immune to
-  later in-place slot rewrites), records checksums, feeds the
-  checkpoint manager, releases successors, and dispatches.
+* **Coordinator** — the scheduling core of
+  :class:`~repro.runtime.engine.ExecutionEngine`, unchanged: the
+  scheduler policy orders the ready pool and at most one task per idle
+  worker is in flight, so priority order is respected.  This module
+  only supplies its executor, whose retirement step materializes the
+  task's written tiles out of the arena into the caller's matrix (a
+  private copy, immune to later in-place slot rewrites) before the
+  core records checksums, feeds the checkpoint manager and releases
+  successors.
 * **Supervisor** — per-lane task queues make the coordinator's view of
   worker state exact: it always knows which task each worker holds.
   :class:`~repro.runtime.supervisor.WorkerSupervisor` watches pid
@@ -71,13 +73,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import selectors
 import time
-from collections import deque
-from multiprocessing import connection as mp_connection
+from functools import partial
 
-from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.dag import TaskGraph
-from repro.runtime.engine import ExecutionEngine, _NO_RETRY
+from repro.runtime.engine import ExecutionEngine, Outcome, RunContext
 from repro.runtime.faults import (
     FaultInjector,
     RetryPolicy,
@@ -86,15 +86,13 @@ from repro.runtime.faults import (
     restore_writes,
     snapshot_writes,
 )
-from repro.runtime.parallel import scaled_stall_timeout
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.supervisor import WorkerSupervisor
 from repro.runtime.task import Task
-from repro.runtime.tracing import Trace, TraceEvent
 
 __all__ = ["MultiprocessExecutionEngine", "WorkerCrashError"]
 
-#: coordinator poll granularity while waiting on retirements
+#: executor poll granularity while waiting on retirements
 _POLL_SECONDS = 0.05
 
 #: heal-and-redispatch budget per task (checksum-verified runs)
@@ -131,7 +129,9 @@ class MultiprocessExecutionEngine(ExecutionEngine):
     worker-side writes to such a store stay process-local.
 
     Parameters mirror :class:`~repro.runtime.parallel.
-    ParallelExecutionEngine`, plus:
+    ParallelExecutionEngine` (``debug`` is the ``debug`` attribute,
+    which :func:`~repro.runtime.parallel.engine_for` sets from
+    ``$REPRO_ENGINE_DEBUG``), plus:
 
     spill_factor:
         Scales the arena's over-cap spill region (default
@@ -172,12 +172,7 @@ class MultiprocessExecutionEngine(ExecutionEngine):
             retry=retry,
             verify_tiles=verify_tiles,
         )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if stall_timeout is not None and stall_timeout <= 0.0:
-            raise ValueError(
-                f"stall_timeout must be positive or None, got {stall_timeout}"
-            )
+        self._set_lanes(workers, stall_timeout)
         if max_respawns is not None and max_respawns < 0:
             raise ValueError(
                 f"max_respawns must be >= 0 or None, got {max_respawns}"
@@ -191,8 +186,6 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                 "MultiprocessExecutionEngine needs the 'fork' start method "
                 "(POSIX); use the threaded ParallelExecutionEngine here"
             )
-        self.workers = int(workers)
-        self.stall_timeout = stall_timeout
         self.spill_factor = spill_factor
         self.supervise = bool(supervise)
         self.max_respawns = max_respawns
@@ -204,117 +197,393 @@ class MultiprocessExecutionEngine(ExecutionEngine):
         #: hung_killed, tasks_requeued, tiles_restored, stale_results)
         self.last_run_supervision: dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    # worker side
-    # ------------------------------------------------------------------
+    def _begin_run(self) -> None:
+        super()._begin_run()
+        self.last_run_supervision = {}
+        self.worker_pids = {}
 
-    def _verify_reads_worker(
-        self,
-        task: Task,
-        store,
-        expected: dict,
-        read_only: bool = False,
-        skip: set | None = None,
-    ) -> None:
-        """Operand checksum verification against coordinator digests.
+    def _executor(self, run: RunContext, lanes: int) -> _ProcessExecutor:
+        return _ProcessExecutor(self, run, lanes)
 
-        ``read_only`` restricts the sweep to pure-read tiles — the
-        post-kernel re-check must skip read-write slots, which
-        legitimately hold the kernel's new bytes.  ``skip`` drops
-        specific keys (the task's own injected at-rest flips).
-        """
-        from repro.linalg.integrity import tile_checksum
 
-        keys = set(task.reads)
-        if read_only:
-            keys -= set(task.writes)
-        if skip:
-            keys -= skip
-        for key in sorted(keys):
-            want = expected.get(key)
-            if want is None:
-                continue
-            if tile_checksum(store.tile(*key)) != want:
-                raise TileCorruptionError(
-                    f"{task}: operand tile {key} failed checksum "
-                    "verification in worker — silent data corruption "
-                    "detected before the kernel consumed it"
-                )
+class _ProcessExecutor:
+    """Forked worker lanes over a shared-memory tile arena.
 
-    def _dispatch_worker(
-        self, task: Task, kernel, store, arena, expected: dict | None
-    ) -> int:
-        """Worker-side analogue of :meth:`ExecutionEngine._dispatch`.
+    Owns what is specific to processes: spawning lanes and recovering
+    them under a :class:`WorkerSupervisor`, the arena copy-out at
+    retirement, coordinator-side healing of corrupt operands (the task
+    goes back to the ready pool), the exit-137 mirror, and teardown.
+    """
 
-        Differs in two ways: rollback snapshots are *byte* snapshots of
-        the arena slots the task writes (slots are rewritten in place,
-        so tile references would alias the very bytes a retry must
-        restore), and operand verification compares against the digests
-        the coordinator attached to the task message (healing is the
-        coordinator's job, on re-dispatch).
-        """
-        injector = self.fault_injector
-        verify = expected is not None
-        if injector is None and self.retry is None and not verify:
-            kernel(task, store)
-            return 0
-        retry = self.retry if self.retry is not None else _NO_RETRY
-        rollback = retry.max_retries > 0
-        attempt = 0
-        while True:
-            if rollback:
-                snapshot = (
-                    arena.snapshot(task.writes)
-                    if arena is not None
-                    else snapshot_writes(task, store)
-                )
-            else:
-                snapshot = None
+    def __init__(
+        self, engine: MultiprocessExecutionEngine, run: RunContext, lanes: int
+    ):
+        from repro.linalg.arena import TileArena
+
+        self.engine = engine
+        self.run = run
+        self.lanes = lanes
+        data = run.data
+        arena_mode = (
+            hasattr(data, "tile")
+            and hasattr(data, "set_tile")
+            and hasattr(data, "__iter__")
+        )
+        self.arena = (
+            TileArena.from_store(data, spill_factor=engine.spill_factor)
+            if arena_mode
+            else None
+        )
+        #: what kernels run against in the workers
+        self._store = self.arena if self.arena is not None else data
+        self.hang_timeout = engine.hang_timeout
+        if (
+            self.hang_timeout is None
+            and engine.supervise
+            and run.stall_timeout is not None
+        ):
+            # Fire before the run-level stall timeout would: a single
+            # wedged worker should be recovered, not abort the run.
+            self.hang_timeout = 0.8 * run.stall_timeout
+        budget = 0
+        if engine.supervise:
+            budget = (
+                engine.max_respawns
+                if engine.max_respawns is not None
+                else 2 * lanes + 2
+            )
+        self.supervisor = WorkerSupervisor(
+            max_respawns=budget, hang_timeout=self.hang_timeout
+        )
+        self._ctx = multiprocessing.get_context("fork")
+        self._queues: dict[int, object] = {}
+        #: lane -> read end of that lane's single-writer result pipe
+        self._conns: dict[int, object] = {}
+        #: readiness of every live result pipe, keyed to its lane
+        self._ready = selectors.PollSelector()
+        self._procs: dict[int, object] = {}
+        #: lane -> task index currently dispatched to it
+        self._lane_task: dict[int, int] = {}
+        #: task index -> dispatch epoch (bumped per supervised requeue;
+        #: a stale retirement from a killed worker carries the old
+        #: epoch and is dropped instead of double-retiring the task)
+        self._epoch: dict[int, int] = {}
+        self._heals: dict[int, int] = {}
+        #: running tasks that read a slot healed under them
+        self._suspect: set[int] = set()
+        try:
+            for lane in range(lanes):
+                self._spawn(lane)
+        except BaseException:
+            self.close()
+            raise
+
+    def _spawn(self, lane: int) -> None:
+        # A fresh lane queue per (re)spawn: a task message the dead
+        # worker never pulled must not reach its replacement — the
+        # core requeues it explicitly, exactly once.  The result pipe
+        # is fresh too; its write end lives only in the new child (the
+        # parent drops its copy right after the fork), so worker death
+        # reads as EOF, never a stuck lock.
+        q = self._ctx.SimpleQueue()
+        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
+        p = self._ctx.Process(
+            target=self._serve,
+            args=(lane, q, send_conn),
+            name=f"tlr-mp-worker-{lane}",
+            daemon=True,
+        )
+        self._queues[lane] = q
+        self._procs[lane] = p
+        p.start()
+        send_conn.close()
+        self._conns[lane] = recv_conn
+        self._ready.register(recv_conn, selectors.EVENT_READ, lane)
+        self.engine.worker_pids[lane] = p.pid
+        self.supervisor.attach(lane, p)
+
+    def submit(self, lane: int, index: int) -> None:
+        ledger = self.run.ledger
+        expected = None
+        if self.run.verify:
+            task = self.run.graph.tasks[index]
+            expected = {}
+            for key in set(task.reads):
+                digest = ledger.expected(key)
+                if digest is not None:
+                    expected[key] = digest
+        self._lane_task[lane] = index
+        self.supervisor.task_dispatched(lane, index)
+        self._queues[lane].put((index, expected, self._epoch.get(index, 0)))
+
+    def wait(self, timeout: float | None) -> list[Outcome]:
+        poll = _POLL_SECONDS if timeout is None else min(timeout, _POLL_SECONDS)
+        outcomes = []
+        for key, _ in self._ready.select(poll):
+            # A lane holds one task at a time, so one frame per wakeup;
+            # anything more is still ready on the next wait.
             try:
-                if verify:
-                    self._verify_reads_worker(task, store, expected)
-                if injector is not None:
-                    injector.invoke(kernel, task, store, attempt)
-                else:
-                    kernel(task, store)
-                if verify:
-                    # Arena slots are rewritten in place, so an at-rest
-                    # flip landing *during* the kernel mutates bytes a
-                    # view-holding kernel may already have consumed —
-                    # unlike the in-process engines, where concurrent
-                    # readers keep the old tile object.  Re-verifying
-                    # after the kernel closes that window: any flip
-                    # that could have reached the kernel's reads
-                    # happened before this check and fails the task,
-                    # so retirement certifies clean operands end to
-                    # end.  Skipped: read-write slots (they hold the
-                    # kernel's new bytes by design) and the task's own
-                    # injected flips (applied after the kernel
-                    # returned — the outputs are valid, and a later
-                    # reader's pre-check is the intended detector;
-                    # re-failing here would re-inject on every
-                    # redispatch and starve the heal budget).
-                    own_flips = (
-                        set(injector.flipped_reads) if injector else None
-                    )
-                    self._verify_reads_worker(
-                        task, store, expected, read_only=True, skip=own_flips
-                    )
-                return attempt
-            except retry.retry_on as exc:
-                if snapshot is not None:
-                    if arena is not None:
-                        arena.restore(snapshot)
-                    else:
-                        restore_writes(task, store, snapshot)
-                if attempt >= retry.max_retries:
-                    raise TaskFailedError(task, attempt + 1, exc) from exc
-                pause = retry.delay(attempt)
-                if pause > 0.0:
-                    time.sleep(pause)
-                attempt += 1
+                out = self._accept(key.fileobj.recv())
+            except (EOFError, OSError):
+                # The writer died.  Stop waiting on this pipe — an EOF
+                # conn is permanently "ready" and would starve the
+                # supervisor poll below; the supervisor recovers the
+                # lane and _spawn() replaces the pipe.
+                self._drop_conn(key.data)
+                continue
+            if out is not None:
+                outcomes.append(out)
+        return outcomes or self._supervise()
 
-    def _worker_main(self, lane, graph, data, arena, task_q, result_conn) -> None:
+    def _accept(self, msg) -> Outcome | None:
+        """Vet one worker message before it reaches the core."""
+        lane, idx, epoch, attempts, exc, start, end, counters, reports = msg
+        if self._lane_task.get(lane) != idx or epoch != self._epoch.get(idx, 0):
+            # Stale retirement: a worker we already declared dead/hung
+            # (and whose task we requeued) raced its own result out
+            # before the SIGKILL landed.  The replay owns the task now —
+            # dropping the stale message keeps exactly-once retirement.
+            self.supervisor.stale_results += 1
+            return None
+        del self._lane_task[lane]
+        self.supervisor.task_retired(lane)
+        if idx in self._suspect:
+            self._suspect.discard(idx)
+            if exc is None:
+                self._rewind_writes(self.run.graph.tasks[idx])
+                return Outcome(lane, idx, attempts, requeue=True)
+        if (
+            isinstance(exc, TaskFailedError)
+            and isinstance(exc.cause, TileCorruptionError)
+            and self._heals.get(idx, 0) < _MAX_HEALS_PER_TASK
+            and self._heal_operands(self.run.graph.tasks[idx])
+        ):
+            self._heals[idx] = self._heals.get(idx, 0) + 1
+            return Outcome(lane, idx, exc.attempts, requeue=True)
+        if exc is not None:
+            return Outcome(lane, idx, error=exc)
+        if counters:
+            injector = self.engine.fault_injector
+            with injector._lock:
+                for key, delta in counters.items():
+                    injector.counters[key] += delta
+        if reports:
+            for report, delta in zip(self.engine._reports, reports):
+                if delta:
+                    report.update(delta)
+        pid = self.engine.worker_pids[lane]
+        return Outcome(lane, idx, attempts, None, start, end, pid)
+
+    def _heal_operands(self, task: Task) -> bool:
+        """Restore corrupt operand slots from last-known-good tiles.
+
+        Returns False when the corruption is unhealable and the failure
+        must surface.  A heal rewrites arena slots in place, under any
+        running task that reads them: such a task may have consumed the
+        corrupt bytes before the heal, after which its post-kernel
+        re-check passes — so it is marked to be redone, not retired.
+        """
+        arena, data = self.arena, self.run.data
+        ledger, checkpoint = self.run.ledger, self.run.checkpoint
+        if arena is None or ledger is None or checkpoint is None:
+            return False
+        healed = set()
+        for key in sorted(set(task.reads)):
+            if ledger.matches(key, arena.tile(*key)):
+                continue
+            if not checkpoint.heal(data, key):
+                return False
+            good = data.tile(*key)
+            if not ledger.matches(key, good):
+                return False
+            arena.set_tile(*key, good)
+            healed.add(key)
+        tasks = self.run.graph.tasks
+        self._suspect.update(
+            i for i in self._lane_task.values() if healed.intersection(tasks[i].reads)
+        )
+        return bool(healed)
+
+    def _supervise(self) -> list[Outcome]:
+        """Recover dead/hung lanes; their tasks go back to the pool."""
+        outcomes = []
+        for f in self.supervisor.poll():
+            if f.injected_hard_crash:
+                # A worker took the injected SIGKILL; mirror its exit
+                # code so the process-level crash semantics (and the
+                # checkpoint/restart recovery story) match the
+                # in-process engines.  Segments are unlinked first.
+                self.close()
+                os._exit(137)
+            if not self.supervisor.can_respawn():
+                detail = (
+                    f"hung past the {self.hang_timeout:.3g}s hang budget"
+                    if f.hung
+                    else f"died (exit {f.exitcode})"
+                )
+                in_flight = ", ".join(
+                    str(self.run.graph.tasks[i]) for i in self._lane_task.values()
+                )
+                raise WorkerCrashError(
+                    f"worker lane {f.lane} (pid {f.pid}) {detail}"
+                    + (
+                        f"; respawn budget ({self.supervisor.max_respawns}) "
+                        "exhausted"
+                        if self.engine.supervise
+                        else "; supervision disabled"
+                    )
+                    + (f"; in flight: {in_flight}" if in_flight else "")
+                )
+            idx = self._recover(f.lane)
+            if idx is not None:
+                outcomes.append(Outcome(f.lane, idx, requeue=True))
+        return outcomes
+
+    def _recover(self, lane: int) -> int | None:
+        """Re-fork a dead/hung lane; returns the task it lost, if any."""
+        dead_conn = self._conns.get(lane)
+        if dead_conn is not None:
+            # Complete frames the dying worker raced out still sit in
+            # the pipe buffer: results for the task being requeued
+            # below, so they are stale by construction.
+            try:
+                while dead_conn.poll(0):
+                    dead_conn.recv()
+                    self.supervisor.stale_results += 1
+            except (EOFError, OSError):
+                pass  # torn trailing frame from mid-send death
+            self._drop_conn(lane)
+        idx = self._lane_task.pop(lane, None)
+        if idx is not None:
+            self._rewind_writes(self.run.graph.tasks[idx])
+            self._epoch[idx] = self._epoch.get(idx, 0) + 1
+            self.supervisor.tasks_requeued += 1
+        if self.arena is not None:
+            # The dead worker may have held the spill-allocator lock (a
+            # microseconds-wide window, but a SIGKILL can land
+            # anywhere); break it rather than deadlock every surviving
+            # worker's next spill allocation.
+            self.arena.break_lock()
+        self._procs[lane].join(timeout=1.0)
+        self._spawn(lane)
+        self.supervisor.record_respawn(lane)
+        return idx
+
+    def _drop_conn(self, lane: int) -> None:
+        conn = self._conns.pop(lane)
+        self._ready.unregister(conn)
+        conn.close()
+
+    def _rewind_writes(self, task: Task) -> None:
+        """Restore the pre-task bytes of a lost task's write slots.
+
+        ``data`` always holds the last *retired* value of every tile
+        (retirement materializes arena -> data, and the DAG's WAW/RAW
+        edges guarantee the previous writer retired before this task
+        dispatched), so republishing ``data``'s tiles rewinds any
+        partial in-place write the dead worker left in the arena.
+        Read-only operands need no rewind: kernels never mutate them.
+        """
+        if self.arena is None:
+            return
+        for key in sorted(set(task.writes)):
+            self.arena.set_tile(*key, self.run.data.tile(*key))
+            self.supervisor.tiles_restored += 1
+
+    def retire(self, task: Task) -> None:
+        """Materialize a retired task's outputs out of the arena.
+
+        The copies are private heap tiles: later in-place rewrites of
+        the arena slots cannot touch them, so they are safe references
+        for the checkpoint manager, the ledger, and the final factor.
+        """
+        if self.arena is None:
+            return
+        for key in set(task.writes):
+            self.run.data.set_tile(*key, self.arena.materialize(*key))
+
+    def close(self) -> None:
+        """Stop the workers (in-flight tasks finish first, within a
+        deadline) and unlink the arena."""
+        for q in self._queues.values():
+            q.put(None)
+        deadline = time.monotonic() + 5.0
+        for p in self._procs.values():
+            p.join(timeout=max(0.1, deadline - time.monotonic()))
+        for p in self._procs.values():
+            if p.is_alive():
+                p.terminate()
+                p.join(timeout=1.0)
+        self.supervisor.detach_all()
+        for q in self._queues.values():
+            q.close()
+        for lane in list(self._conns):
+            self._drop_conn(lane)
+        self._ready.close()
+        if self.arena is not None:
+            # Written tiles were already copied out per retirement;
+            # the segments hold nothing the caller still needs.
+            self.arena.close()
+            self.arena.unlink()
+        self.engine.last_run_supervision = self.supervisor.report()
+
+    # ------------------------------------------------------------------
+    # worker side (runs in the forked processes)
+    # ------------------------------------------------------------------
+
+    def _execute(self, idx: int, expected: dict | None) -> tuple:
+        """The engine's ``_dispatch`` with worker-side rollback and
+        verification; returns ``(attempts, error, start, end)``.
+
+        Rollback snapshots are *byte* snapshots of the arena slots the
+        task writes (slots are rewritten in place, so tile references
+        would alias the very bytes a retry must restore), and operand
+        verification compares against the digests the coordinator
+        attached to the task message (healing is the coordinator's
+        job, on re-dispatch).
+        """
+        engine, arena, store = self.engine, self.arena, self._store
+        task = self.run.graph.tasks[idx]
+        if arena is not None:
+            snapshot = partial(arena.snapshot, task.writes)
+            restore = arena.restore
+        else:
+            snapshot = partial(snapshot_writes, task, store)
+            restore = partial(restore_writes, task, store)
+        before = after = None
+        if expected is not None:
+            from repro.linalg.integrity import tile_checksum
+
+            def matches(key, tile) -> bool:
+                want = expected.get(key)
+                return want is None or tile_checksum(tile) == want
+
+            where = f"{task}: operand (in worker)"
+            before = partial(
+                engine._verify, set(task.reads), store, matches, None, where
+            )
+
+            def after() -> None:
+                # Arena slots are rewritten in place, so an at-rest flip
+                # landing *during* the kernel mutates bytes a
+                # view-holding kernel may already have consumed.
+                # Re-verifying after the kernel closes that window: any
+                # flip that could have reached the kernel's reads
+                # happened before this check and fails the task, so
+                # retirement certifies clean operands end to end.
+                # (Own flips are skipped: re-failing on them would
+                # re-inject on every redispatch and starve the heal
+                # budget.)
+                engine._verify(engine._pure_reads(task), store, matches, None, where)
+
+        start = time.perf_counter()
+        try:
+            attempts = engine._dispatch(task, store, snapshot, restore, before, after)
+        except BaseException as exc:  # reported to the coordinator
+            return 0, _picklable(exc), 0.0, 0.0
+        return attempts, None, start, time.perf_counter()
+
+    def _serve(self, lane: int, task_q, result_conn) -> None:
         """Worker process body: serve tasks until the ``None`` sentinel.
 
         Results travel on a per-lane pipe whose write end only this
@@ -325,494 +594,34 @@ class MultiprocessExecutionEngine(ExecutionEngine):
         deadlocks every surviving worker's results.  A single-writer
         pipe has no lock to orphan.
         """
-        store = arena if arena is not None else data
-        injector = self.fault_injector
+        injector = self.engine.fault_injector
+        reports = self.engine._reports
         if injector is not None:
             # Arms the whole-worker fault kinds (worker_kill /
             # worker_hang): only a forked worker may act on them.
             injector.in_worker = True
-        while True:
-            msg = task_q.get()
-            if msg is None:
-                return
+        while (msg := task_q.get()) is not None:
             idx, expected, epoch = msg
-            task = graph.tasks[idx]
-            kernel = self._kernels[task.klass]
             if injector is not None:
                 injector.epoch = epoch
-            counter_base = dict(injector.counters) if injector else None
-            report_base = [set(r) for r in self._reports]
-            start = time.perf_counter()
-            try:
-                attempts = self._dispatch_worker(
-                    task, kernel, store, arena, expected
-                )
-            except BaseException as exc:
-                try:
-                    result_conn.send(
-                        (lane, idx, epoch, None, _picklable(exc), None, None,
-                         0.0, 0.0)
-                    )
-                except (BrokenPipeError, OSError):  # coordinator is gone
-                    return
-                continue
-            end = time.perf_counter()
-            counters = None
-            if injector is not None:
-                counters = {
-                    key: count - counter_base.get(key, 0)
-                    for key, count in injector.counters.items()
-                    if count != counter_base.get(key, 0)
-                }
-            reports = [
-                {key: r[key] for key in r.keys() - base} or None
-                for r, base in zip(self._reports, report_base)
-            ]
+            counter_base = dict(injector.counters) if injector else {}
+            report_base = [set(r) for r in reports]
+            attempts, error, start, end = self._execute(idx, expected)
+            counters = deltas = None
+            if error is None:
+                if injector is not None:
+                    counters = {
+                        key: count - counter_base.get(key, 0)
+                        for key, count in injector.counters.items()
+                        if count != counter_base.get(key, 0)
+                    }
+                deltas = [
+                    {key: r[key] for key in r.keys() - base} or None
+                    for r, base in zip(reports, report_base)
+                ]
             try:
                 result_conn.send(
-                    (lane, idx, epoch, attempts, None, counters, reports,
-                     start, end)
+                    (lane, idx, epoch, attempts, error, start, end, counters, deltas)
                 )
             except (BrokenPipeError, OSError):  # coordinator is gone
                 return
-
-    # ------------------------------------------------------------------
-    # coordinator side
-    # ------------------------------------------------------------------
-
-    def _expected_for(self, task: Task, ledger) -> dict | None:
-        if ledger is None:
-            return None
-        expected = {}
-        for key in set(task.reads):
-            digest = ledger.expected(key)
-            if digest is not None:
-                expected[key] = digest
-        return expected
-
-    def _retire_writes(self, task: Task, arena, data, ledger) -> None:
-        """Materialize a retired task's outputs out of the arena.
-
-        The copies are private heap tiles: later in-place rewrites of
-        the arena slots cannot touch them, so they are safe references
-        for the checkpoint manager, the ledger, and the final factor.
-        """
-        if arena is None:
-            return
-        for key in set(task.writes):
-            tile = arena.materialize(*key)
-            data.set_tile(*key, tile)
-            if ledger is not None:
-                ledger.record(key, tile)
-
-    def _heal_operands(
-        self, task: Task, arena, data, ledger, checkpoint
-    ) -> int:
-        """Restore corrupt operand slots from last-known-good tiles.
-
-        Returns the number of tiles healed; 0 means the corruption is
-        unhealable and the failure must surface.
-        """
-        if arena is None or ledger is None or checkpoint is None:
-            return 0
-        healed = 0
-        for key in sorted(set(task.reads)):
-            if ledger.matches(key, arena.tile(*key)):
-                continue
-            if not checkpoint.heal(data, key):
-                return 0
-            good = data.tile(*key)
-            if not ledger.matches(key, good):
-                return 0
-            arena.set_tile(*key, good)
-            healed += 1
-        return healed
-
-    def _rewind_writes(self, task: Task, arena, data, supervisor) -> None:
-        """Restore the pre-task bytes of a lost task's write slots.
-
-        ``data`` always holds the last *retired* value of every tile
-        (retirement materializes arena -> data, and the DAG's WAW/RAW
-        edges guarantee the previous writer retired before this task
-        dispatched), so republishing ``data``'s tiles rewinds any
-        partial in-place write the dead worker left in the arena.
-        Read-only operands need no rewind: kernels never mutate them.
-        """
-        if arena is None:
-            return
-        for key in sorted(set(task.writes)):
-            arena.set_tile(*key, data.tile(*key))
-            supervisor.tiles_restored += 1
-
-    def run(
-        self,
-        graph: TaskGraph,
-        data: object,
-        trace: Trace | None = None,
-        checkpoint: CheckpointManager | None = None,
-    ) -> Trace:
-        """Execute every task across the worker processes.
-
-        Same contract as the threaded engine: fail-fast on the first
-        kernel exception, ``KeyError`` for unregistered task classes,
-        diagnostic ``ValueError`` on stalls, checkpoint frontiers
-        skipped and flushed on cadence.  A worker killed by a real
-        signal (or hung past ``hang_timeout``) is supervised back to
-        health — task requeued, torn tiles rewound, replacement forked
-        — up to ``max_respawns`` times, after which (or with
-        ``supervise=False``) :class:`WorkerCrashError` surfaces.  Exit
-        code 137 (the injected hard crash) is still mirrored.
-        """
-        if trace is None:
-            trace = Trace()
-        self.last_run_retries = 0
-        self.last_run_resumed = 0
-        self.last_run_supervision = {}
-        self.worker_pids = {}
-        n = len(graph)
-        if n == 0:
-            return trace
-        missing = {t.klass for t in graph.tasks} - set(self._kernels)
-        if missing:
-            raise KeyError(
-                f"no kernel registered for task class(es) {sorted(missing)}"
-            )
-
-        indegree = [graph.in_degree(i) for i in range(n)]
-        skipped = self._frontier(graph, data, indegree, checkpoint)
-        target = n - len(skipped)
-        ledger, verify = self._setup_integrity(data, checkpoint)
-        if target == 0:
-            if verify and ledger is not None:
-                self._final_verify(data, ledger, checkpoint)
-            return trace
-
-        from repro.linalg.arena import TileArena
-
-        arena_mode = (
-            hasattr(data, "tile")
-            and hasattr(data, "set_tile")
-            and hasattr(data, "__iter__")
-        )
-        arena = (
-            TileArena.from_store(data, spill_factor=self.spill_factor)
-            if arena_mode
-            else None
-        )
-
-        stall_timeout = scaled_stall_timeout(self.stall_timeout, graph)
-        hang_timeout = self.hang_timeout
-        if hang_timeout is None and self.supervise and stall_timeout is not None:
-            # Fire before the run-level stall watchdog would: a single
-            # wedged worker should be recovered, not abort the run.
-            hang_timeout = 0.8 * stall_timeout
-
-        ctx = multiprocessing.get_context("fork")
-        num_workers = min(self.workers, target)
-        budget = (
-            self.max_respawns
-            if self.max_respawns is not None
-            else 2 * num_workers + 2
-        ) if self.supervise else 0
-        supervisor = WorkerSupervisor(
-            max_respawns=budget, hang_timeout=hang_timeout
-        )
-        lane_queues: dict[int, object] = {}
-        #: lane -> read end of that lane's single-writer result pipe
-        result_conns: dict[int, object] = {}
-        procs: dict[int, object] = {}
-
-        def spawn(lane: int) -> None:
-            # A fresh lane queue per (re)spawn: a task message the dead
-            # worker never pulled must not reach its replacement — the
-            # coordinator requeues it explicitly, exactly once.  The
-            # result pipe is fresh too; its write end lives only in the
-            # new child (the parent drops its copy right after the
-            # fork), so worker death reads as EOF, never a stuck lock.
-            q = ctx.SimpleQueue()
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            p = ctx.Process(
-                target=self._worker_main,
-                args=(lane, graph, data, arena, q, send_conn),
-                name=f"tlr-mp-worker-{lane}",
-                daemon=True,
-            )
-            lane_queues[lane] = q
-            procs[lane] = p
-            p.start()
-            send_conn.close()
-            result_conns[lane] = recv_conn
-            self.worker_pids[lane] = p.pid
-            supervisor.attach(lane, p)
-
-        for lane in range(num_workers):
-            spawn(lane)
-
-        scheduler = self.scheduler
-        for i in range(n):
-            if indegree[i] == 0 and graph.tasks[i].uid not in skipped:
-                scheduler.push(i, graph.tasks[i])
-
-        completed = 0
-        retries = 0
-        outstanding: dict[int, Task] = {}
-        #: lane -> task index currently dispatched to it
-        lane_task: dict[int, int] = {}
-        #: task index -> dispatch epoch (bumped per supervised requeue;
-        #: a stale retirement from a killed worker carries the old
-        #: epoch and is dropped instead of double-retiring the task)
-        task_epoch: dict[int, int] = {}
-        idle: set[int] = set(range(num_workers))
-        #: results received but not yet processed (drained per wait())
-        inbox: deque = deque()
-        heals: dict[int, int] = {}
-        failure: BaseException | None = None
-        mirror_hard_crash = False
-        t0 = time.perf_counter()
-        last_progress = time.monotonic()
-
-        def dispatch() -> None:
-            nonlocal last_progress
-            while scheduler and idle:
-                i = scheduler.pop()
-                lane = min(idle)
-                idle.remove(lane)
-                task = graph.tasks[i]
-                outstanding[i] = task
-                lane_task[lane] = i
-                supervisor.task_dispatched(lane, i)
-                lane_queues[lane].put(
-                    (
-                        i,
-                        self._expected_for(task, ledger) if verify else None,
-                        task_epoch.get(i, 0),
-                    )
-                )
-                last_progress = time.monotonic()
-
-        def recover(f) -> None:
-            """Supervised recovery of one dead/hung lane."""
-            nonlocal last_progress
-            dead_conn = result_conns.pop(f.lane, None)
-            if dead_conn is not None:
-                # Complete frames the dying worker raced out still sit
-                # in the pipe buffer; pull them through the normal
-                # stale-result path (the epoch bump below drops them)
-                # rather than losing their accounting.
-                try:
-                    while dead_conn.poll(0):
-                        inbox.append(dead_conn.recv())
-                except (EOFError, OSError):
-                    pass  # torn trailing frame from mid-send death
-                dead_conn.close()
-            idx = lane_task.pop(f.lane, None)
-            idle.discard(f.lane)
-            if idx is not None:
-                task = outstanding.pop(idx, None)
-                if task is not None:
-                    self._rewind_writes(task, arena, data, supervisor)
-                    task_epoch[idx] = task_epoch.get(idx, 0) + 1
-                    scheduler.push(idx, task)
-                    supervisor.tasks_requeued += 1
-            if arena is not None:
-                # The dead worker may have held the spill-allocator
-                # lock (a microseconds-wide window, but a SIGKILL can
-                # land anywhere); break it rather than deadlock every
-                # surviving worker's next spill allocation.
-                arena.break_lock()
-            old = procs[f.lane]
-            old.join(timeout=1.0)
-            spawn(f.lane)
-            supervisor.record_respawn(f.lane)
-            idle.add(f.lane)
-            last_progress = time.monotonic()
-
-        try:
-            dispatch()
-            while completed < target and failure is None:
-                if not outstanding:
-                    if scheduler:
-                        dispatch()
-                        continue
-                    failure = ValueError(
-                        f"execution stalled with {target - completed} of "
-                        f"{target} tasks blocked (cycle or unsatisfiable "
-                        f"dependencies)"
-                    )
-                    break
-                if not inbox:
-                    lanes = {conn: ln for ln, conn in result_conns.items()}
-                    ready = mp_connection.wait(
-                        list(lanes), timeout=_POLL_SECONDS
-                    )
-                    for conn in ready:
-                        try:
-                            inbox.append(conn.recv())
-                            while conn.poll(0):
-                                inbox.append(conn.recv())
-                        except (EOFError, OSError):
-                            # The writer died.  Stop waiting on this
-                            # pipe — an EOF conn is permanently
-                            # "ready" and would starve the supervisor
-                            # poll below; supervisor.poll() recovers
-                            # the lane and spawn() replaces the pipe.
-                            result_conns.pop(lanes[conn], None)
-                            conn.close()
-                if not inbox:
-                    failures = supervisor.poll()
-                    for f in failures:
-                        if f.injected_hard_crash:
-                            mirror_hard_crash = True
-                            return trace  # finally-block handles teardown
-                        if not supervisor.can_respawn():
-                            detail = (
-                                "hung past the "
-                                f"{hang_timeout:.3g}s hang budget"
-                                if f.hung
-                                else f"died (exit {f.exitcode})"
-                            )
-                            failure = WorkerCrashError(
-                                f"worker lane {f.lane} (pid {f.pid}) {detail}"
-                                + (
-                                    f"; respawn budget "
-                                    f"({supervisor.max_respawns}) exhausted"
-                                    if self.supervise
-                                    else "; supervision disabled"
-                                )
-                                + (
-                                    "; in flight: "
-                                    + ", ".join(map(str, outstanding.values()))
-                                    if outstanding
-                                    else ""
-                                )
-                            )
-                            break
-                        recover(f)
-                    if failure is not None:
-                        break
-                    if failures:
-                        dispatch()
-                        continue
-                    if (
-                        stall_timeout is not None
-                        and time.monotonic() - last_progress >= stall_timeout
-                    ):
-                        failure = ValueError(
-                            f"execution stalled: no task dispatched or "
-                            f"retired in {time.monotonic() - last_progress:.3g}s "
-                            f"(stall_timeout={stall_timeout:.3g}s) with "
-                            f"{target - completed} of {target} tasks "
-                            f"outstanding; in flight: "
-                            + ", ".join(map(str, outstanding.values()))
-                        )
-                        break
-                    continue
-
-                msg = inbox.popleft()
-                lane, idx, epoch, attempts, exc, counters, reports, start, end = msg
-                if (
-                    idx not in outstanding
-                    or epoch != task_epoch.get(idx, 0)
-                    or lane_task.get(lane) != idx
-                ):
-                    # Stale retirement: a worker we already declared
-                    # dead/hung (and whose task we requeued) raced its
-                    # own result out before the SIGKILL landed.  The
-                    # replay owns the task now — dropping the stale
-                    # message is what keeps exactly-once retirement.
-                    supervisor.stale_results += 1
-                    continue
-                task = outstanding.pop(idx)
-                lane_task.pop(lane, None)
-                idle.add(lane)
-                supervisor.task_retired(lane)
-                last_progress = time.monotonic()
-
-                if exc is not None:
-                    if (
-                        isinstance(exc, TaskFailedError)
-                        and isinstance(exc.cause, TileCorruptionError)
-                        and heals.get(idx, 0) < _MAX_HEALS_PER_TASK
-                        and self._heal_operands(
-                            task, arena, data, ledger, checkpoint
-                        )
-                    ):
-                        heals[idx] = heals.get(idx, 0) + 1
-                        retries += exc.attempts
-                        scheduler.push(idx, task)
-                        dispatch()
-                        continue
-                    failure = exc
-                    break
-
-                retries += attempts
-                completed += 1
-                if counters:
-                    injector = self.fault_injector
-                    with injector._lock:
-                        for key, delta in counters.items():
-                            injector.counters[key] += delta
-                if reports:
-                    for report, delta in zip(self._reports, reports):
-                        if delta:
-                            report.update(delta)
-                self._retire_writes(task, arena, data, ledger)
-                trace.record(
-                    TraceEvent(
-                        task.klass,
-                        task.params,
-                        start - t0,
-                        end - t0,
-                        flops=task.flops,
-                        worker=lane,
-                        pid=self.worker_pids.get(lane, 0),
-                    )
-                )
-                if checkpoint is not None and checkpoint.task_retired(task, data):
-                    checkpoint.flush(data)
-                for j in graph.successors.get(idx, ()):
-                    indegree[j] -= 1
-                    if indegree[j] == 0:
-                        scheduler.push(j, graph.tasks[j])
-                dispatch()
-        finally:
-            for q in lane_queues.values():
-                q.put(None)
-            deadline = time.monotonic() + 5.0
-            for p in procs.values():
-                p.join(timeout=max(0.1, deadline - time.monotonic()))
-            for p in procs.values():
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=1.0)
-            supervisor.detach_all()
-            for q in lane_queues.values():
-                q.close()
-            for conn in result_conns.values():
-                conn.close()
-            if arena is not None:
-                # Written tiles were already copied out per retirement;
-                # the segments hold nothing the caller still needs.
-                arena.close()
-                arena.unlink()
-            if mirror_hard_crash:
-                # A worker took the injected SIGKILL; mirror its exit
-                # code so the process-level crash semantics (and the
-                # checkpoint/restart recovery story) match the
-                # in-process engines.  Segments were just unlinked.
-                os._exit(137)
-
-        self.last_run_retries = retries
-        self.last_run_supervision = supervisor.report()
-        if failure is not None:
-            while scheduler:
-                scheduler.pop()
-            raise failure
-        if completed != target:  # pragma: no cover - defensive
-            raise ValueError(
-                f"executed {completed} of {target} tasks; "
-                "graph has unsatisfiable dependencies"
-            )
-        if verify and ledger is not None:
-            self._final_verify(data, ledger, checkpoint)
-        return trace

@@ -13,6 +13,7 @@ from repro.runtime.parallel import (
     engine_for,
     resolve_workers,
 )
+from repro.runtime.parallel_mp import MultiprocessExecutionEngine
 from repro.runtime.scheduler import (
     FIFOScheduler,
     LIFOScheduler,
@@ -30,6 +31,15 @@ def chain(n):
 def wide(n, klass="T"):
     """n independent tasks, each owning its own tile."""
     return [make_task(klass, (i,), rw=[(i, i)]) for i in range(n)]
+
+
+def make_engine(backend, workers=2):
+    """An engine of the named backend (the serial one ignores ``workers``)."""
+    if backend == "serial":
+        return ExecutionEngine()
+    if backend == "mp":
+        return MultiprocessExecutionEngine(workers=workers)
+    return ParallelExecutionEngine(workers=workers)
 
 
 def record_kernel(log, lock, delay=0.0):
@@ -132,6 +142,38 @@ class TestParallelExecution:
         out = engine.run(graph, None, trace=trace)
         assert out is trace and len(trace) == 3
 
+    @pytest.mark.timeout(60)
+    def test_stress_more_lanes_than_cores(self):
+        """Eight lanes and a tiny switch interval: every task retires
+        exactly once and every tile sees its writers in serial order."""
+        import sys
+
+        from repro.core.trimming import cholesky_tasks
+
+        graph = build_graph(cholesky_tasks(8))
+
+        def writes_per_tile(engine):
+            log, lock = {}, threading.Lock()
+
+            def kernel(task, data):
+                with lock:
+                    for key in task.writes:
+                        log.setdefault(key, []).append((task.klass, task.params))
+
+            for klass in ("POTRF", "TRSM", "SYRK", "GEMM"):
+                engine.register(klass, kernel)
+            return log, len(engine.run(graph, None))
+
+        ref, n_ref = writes_per_tile(ExecutionEngine())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, n_got = writes_per_tile(ParallelExecutionEngine(workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert n_got == n_ref == len(graph)
+        assert got == ref
+
     def test_empty_graph(self):
         engine = ParallelExecutionEngine(workers=2)
         assert len(engine.run(build_graph([]), None)) == 0
@@ -144,10 +186,15 @@ class TestParallelExecution:
 
 
 class TestFailFast:
+    """Fail-fast lives in the shared scheduling core; the subclasses
+    below run the same tests on the serial and process-pool executors."""
+
+    backend = "threads"
+
     @pytest.mark.timeout(60)
     def test_kernel_exception_propagates(self):
         graph = build_graph(wide(4))
-        engine = ParallelExecutionEngine(workers=2)
+        engine = make_engine(self.backend, workers=2)
 
         def poisoned(task, data):
             raise RuntimeError(f"kernel died on {task}")
@@ -163,7 +210,7 @@ class TestFailFast:
         tasks = chain(10)
         graph = build_graph(tasks)
         log, lock = [], threading.Lock()
-        engine = ParallelExecutionEngine(workers=4)
+        engine = make_engine(self.backend, workers=4)
 
         def kernel(task, data):
             if task.params == (0,):
@@ -172,14 +219,16 @@ class TestFailFast:
                 log.append(task.params)
 
         engine.register("T", kernel)
+        trace = Trace()
         with pytest.raises(ValueError, match="poisoned head"):
-            engine.run(graph, None)
+            engine.run(graph, None, trace=trace)
         assert log == []
+        assert len(trace) == 0
 
     @pytest.mark.timeout(60)
     def test_first_failure_wins_with_wide_graph(self):
         graph = build_graph(wide(30))
-        engine = ParallelExecutionEngine(workers=4)
+        engine = make_engine(self.backend, workers=4)
         executed, lock = [], threading.Lock()
 
         def kernel(task, data):
@@ -189,30 +238,66 @@ class TestFailFast:
                 executed.append(task.params)
 
         engine.register("T", kernel)
+        trace = Trace()
         with pytest.raises(RuntimeError, match="boom"):
-            engine.run(graph, None)
+            engine.run(graph, None, trace=trace)
         # fail-fast: the run must abandon the tail of the ready pool
         assert len(executed) < 30
+        assert len(trace) < 30
 
     @pytest.mark.timeout(60)
     def test_engine_reusable_after_failure(self):
-        engine = ParallelExecutionEngine(workers=2)
-        calls = {"n": 0}
+        engine = make_engine(self.backend, workers=2)
+        # read at dispatch, so forked workers see the value of their run
+        poison = {"on": True}
 
         def kernel(task, data):
-            calls["n"] += 1
-            if calls["n"] == 1:
+            if poison["on"]:
                 raise RuntimeError("first run dies")
 
         engine.register("T", kernel)
         with pytest.raises(RuntimeError):
             engine.run(build_graph(chain(3)), None)
+        poison["on"] = False
         # scheduler was drained; a fresh run completes normally
         trace = engine.run(build_graph(chain(3)), None)
         assert len(trace) == 3
 
 
+class TestFailFastSerial(TestFailFast):
+    backend = "serial"
+
+
+class TestFailFastMp(TestFailFast):
+    backend = "mp"
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("backend", ["serial", "threads", "mp"])
+def test_failed_wide_run_leaves_no_stale_tasks(backend):
+    """A run that fails with ready tasks still queued must drain them:
+    the next run on the same engine executes exactly its own graph, in
+    dependency order, once."""
+    engine = make_engine(backend, workers=2)
+
+    def poisoned(task, data):
+        raise RuntimeError("wide run dies")
+
+    engine.register("W", poisoned)
+    engine.register("T", lambda t, d: None)
+    with pytest.raises(RuntimeError, match="wide run dies"):
+        engine.run(build_graph(wide(5, klass="W")), None)
+    trace = engine.run(build_graph(chain(6)), None)
+    assert [e.params for e in trace.events] == [(i,) for i in range(6)]
+
+
 class TestStarvationDetection:
+    """Starvation is diagnosed by the shared scheduling core; the
+    subclasses below run the same tests on the serial and process-pool
+    executors."""
+
+    backend = "threads"
+
     @pytest.mark.timeout(60)
     def test_cyclic_graph_reports_stuck_tasks(self):
         """A hand-built cycle must abort with a diagnostic, not hang."""
@@ -222,7 +307,7 @@ class TestStarvationDetection:
         # 0 -> 1 -> 2 -> 1 : task 1 and 2 never reach indegree 0... a
         # real cycle: 1 -> 2 and 2 -> 1
         graph = TaskGraph(tasks, {0: {1}, 1: {2}, 2: {1}})
-        engine = ParallelExecutionEngine(workers=2)
+        engine = make_engine(self.backend, workers=2)
         engine.register("T", lambda t, d: None)
         with pytest.raises(ValueError, match="stalled") as err:
             engine.run(graph, None)
@@ -237,10 +322,18 @@ class TestStarvationDetection:
         edges = {i: {(i + 1) % (n - 1) + 1} for i in range(1, n)}
         # tie tasks 1..n-1 into cycles; task 0 is free
         graph = TaskGraph(tasks, edges)
-        engine = ParallelExecutionEngine(workers=2)
+        engine = make_engine(self.backend, workers=2)
         engine.register("T", lambda t, d: None)
         with pytest.raises(ValueError, match="more"):
             engine.run(graph, None)
+
+
+class TestStarvationDetectionSerial(TestStarvationDetection):
+    backend = "serial"
+
+
+class TestStarvationDetectionMp(TestStarvationDetection):
+    backend = "mp"
 
 
 class TestDebugOwnership:
@@ -270,6 +363,21 @@ class TestDebugOwnership:
         engine.register("T", lambda t, d: time.sleep(0.2))
         with pytest.raises(ValueError, match="ownership violation"):
             engine.run(graph, None)
+
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("backend", ["threads", "mp"])
+    def test_engine_for_arms_every_multi_lane_engine(self, backend, monkeypatch):
+        """$REPRO_ENGINE_DEBUG reaches the process-pool engine too: the
+        ownership check lives in the shared scheduling core."""
+        from repro.runtime.dag import TaskGraph
+
+        monkeypatch.setenv("REPRO_ENGINE_DEBUG", "1")
+        engine = engine_for(2, engine=backend)
+        assert engine.debug
+        tasks = [make_task("T", (i,), rw=[(0, 0)]) for i in range(2)]
+        engine.register("T", lambda t, d: time.sleep(0.2))
+        with pytest.raises(ValueError, match="ownership violation"):
+            engine.run(TaskGraph(tasks, {}), None)
 
     @pytest.mark.timeout(60)
     def test_build_graph_output_satisfies_invariant(self):

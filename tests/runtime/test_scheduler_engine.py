@@ -81,6 +81,19 @@ class TestEngine:
         g = build_graph([make_task("X", (0,), rw=[(0, 0)])])
         with pytest.raises(KeyError):
             ExecutionEngine().run(g, None)
+        # rejected up front: a registered predecessor never runs
+        ran = []
+        eng = ExecutionEngine()
+        eng.register("A", lambda t, d: ran.append(t.params))
+        g = build_graph(
+            [
+                make_task("A", (0,), rw=[(0, 0)]),
+                make_task("B", (0,), reads=[(0, 0)], rw=[(1, 1)]),
+            ]
+        )
+        with pytest.raises(KeyError):
+            eng.run(g, None)
+        assert ran == []
 
     def test_duplicate_registration_raises(self):
         eng = ExecutionEngine()
